@@ -1,0 +1,6 @@
+"""Seeded end-to-end and per-layer benchmark of the NDPBridge simulator.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root; ``BENCHMARK.json`` lists the
+workloads and metrics.
+"""
