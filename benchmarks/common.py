@@ -17,13 +17,13 @@ how much), never absolute cycle counts.
 from __future__ import annotations
 
 import json
-import math
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import Design, make_app, run_app
 from repro.analysis import RunMetrics
+from repro.analysis.report import geomean
 from repro.config import SystemConfig, scaled_config
 
 BENCH_UNITS = int(os.environ.get("NDPBRIDGE_BENCH_UNITS", "128"))
@@ -72,15 +72,6 @@ def run_one(
     app = make_app(app_name, scale=scale or BENCH_SCALE, seed=BENCH_SEED)
     cfg = config if config is not None else bench_config(design)
     return run_app(app, cfg).metrics
-
-
-def geomean(values: Iterable[float]) -> float:
-    vals = [v for v in values]
-    if not vals:
-        # Returning 0.0 here once silently poisoned speedup aggregation
-        # (an empty app list looked like an infinite slowdown).
-        raise ValueError("geomean of an empty sequence is undefined")
-    return math.exp(sum(math.log(max(v, 1e-12)) for v in vals) / len(vals))
 
 
 def format_table(

@@ -16,7 +16,9 @@ from .metrics import RunMetrics
 def geomean(values: Iterable[float]) -> float:
     vals = list(values)
     if not vals:
-        return 0.0
+        # Returning 0.0 here once silently poisoned speedup aggregation
+        # (an empty app list looked like an infinite slowdown).
+        raise ValueError("geomean of an empty sequence is undefined")
     return math.exp(sum(math.log(max(v, 1e-12)) for v in vals) / len(vals))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 class IsLentBitmap:
@@ -83,8 +83,9 @@ class DataBorrowedTable:
         total_entries = max(ways, int(capacity_bytes * scale) // self.ENTRY_BYTES)
         self.ways = ways
         self.num_sets = max(1, total_entries // ways)
-        # Each set is an OrderedDict used as an LRU list (front = LRU).
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        # set index -> OrderedDict used as an LRU list (front = LRU).  A
+        # set is created on its first insert; absent means empty.
+        self._sets: Dict[int, OrderedDict] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -93,12 +94,12 @@ class DataBorrowedTable:
     def capacity_entries(self) -> int:
         return self.num_sets * self.ways
 
-    def _set_of(self, block_id: int) -> OrderedDict:
-        return self._sets[block_id % self.num_sets]
+    def _set_of(self, block_id: int) -> Optional[OrderedDict]:
+        return self._sets.get(block_id % self.num_sets)
 
     def lookup(self, block_id: int) -> Optional[BorrowEntry]:
         s = self._set_of(block_id)
-        entry = s.get(block_id)
+        entry = s.get(block_id) if s is not None else None
         if entry is None:
             self.misses += 1
             return None
@@ -107,14 +108,18 @@ class DataBorrowedTable:
         return entry
 
     def contains(self, block_id: int) -> bool:
-        return block_id in self._set_of(block_id)
+        s = self._set_of(block_id)
+        return s is not None and block_id in s
 
     def insert(
         self, block_id: int, value: int, home_unit: int
     ) -> Optional[BorrowEntry]:
         """Insert/update an entry; returns the LRU victim if one was evicted."""
-        s = self._set_of(block_id)
-        if block_id in s:
+        index = block_id % self.num_sets
+        s = self._sets.get(index)
+        if s is None:
+            s = self._sets[index] = OrderedDict()
+        elif block_id in s:
             s[block_id].value = value
             s.move_to_end(block_id)
             return None
@@ -127,13 +132,14 @@ class DataBorrowedTable:
 
     def remove(self, block_id: int) -> Optional[BorrowEntry]:
         s = self._set_of(block_id)
-        return s.pop(block_id, None)
+        return s.pop(block_id, None) if s is not None else None
 
     def entries(self) -> List[BorrowEntry]:
+        """Every entry, in ascending set index then LRU order."""
         out: List[BorrowEntry] = []
-        for s in self._sets:
-            out.extend(s.values())
+        for index in sorted(self._sets):
+            out.extend(self._sets[index].values())
         return out
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())

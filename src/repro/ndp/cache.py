@@ -8,13 +8,16 @@ would pay a full DRAM round trip per tiny accumulate task, which no real
 NDP unit with a cache/scratchpad does.
 
 The model is a set-associative LRU tag array; only hit/miss behaviour is
-tracked (contents live in the application's Python objects).
+tracked (contents live in the application's Python objects).  A set's
+LRU list is created on the first fill into it: most sets of most units
+are never touched, and every container is paid for again by each
+snapshot deep clone.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
+from typing import Dict
 
 from ..config import SystemConfig
 
@@ -32,9 +35,8 @@ class L1Cache:
         self.ways = ways
         total_lines = max(ways, capacity_bytes // line_bytes)
         self.num_sets = max(1, total_lines // ways)
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        # set index -> LRU list (front = LRU); absent means empty.
+        self._sets: Dict[int, OrderedDict] = {}
         self.hits = 0
         self.misses = 0
 
@@ -45,8 +47,11 @@ class L1Cache:
     def access(self, addr: int) -> bool:
         """Probe (and fill) the line holding ``addr``; True on a hit."""
         line = addr // self.line_bytes
-        s = self._sets[line % self.num_sets]
-        if line in s:
+        index = line % self.num_sets
+        s = self._sets.get(index)
+        if s is None:
+            s = self._sets[index] = OrderedDict()
+        elif line in s:
             s.move_to_end(line)
             self.hits += 1
             return True
@@ -59,7 +64,9 @@ class L1Cache:
     def invalidate(self, addr: int) -> None:
         """Drop the line holding ``addr`` (block migrated away)."""
         line = addr // self.line_bytes
-        self._sets[line % self.num_sets].pop(line, None)
+        s = self._sets.get(line % self.num_sets)
+        if s is not None:
+            s.pop(line, None)
 
     def invalidate_range(self, base: int, nbytes: int) -> None:
         for addr in range(base, base + nbytes, self.line_bytes):

@@ -1,9 +1,12 @@
 """Tests for isLent / dataBorrowed metadata (Section VI-B)."""
 
+from collections import OrderedDict
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.balance import DataBorrowedTable, IsLentBitmap
+from repro.balance.metadata import BorrowEntry
 
 
 class TestIsLentBitmap:
@@ -100,3 +103,98 @@ class TestDataBorrowedTable:
                 live.discard(victim.block_id)
             assert len(t) <= t.capacity_entries
         assert {e.block_id for e in t.entries()} == live
+
+
+class _EagerBorrowedTable:
+    """Reference model: the list-of-OrderedDict dataBorrowed table that
+    allocates every set up front.  The lazy table must match it."""
+
+    def __init__(self, capacity_bytes, ways):
+        total_entries = max(
+            ways, capacity_bytes // DataBorrowedTable.ENTRY_BYTES
+        )
+        self.ways = ways
+        self.num_sets = max(1, total_entries // ways)
+        self.sets = [OrderedDict() for _ in range(self.num_sets)]
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def lookup(self, block_id):
+        s = self.sets[block_id % self.num_sets]
+        entry = s.get(block_id)
+        if entry is None:
+            self.misses += 1
+            return None
+        s.move_to_end(block_id)
+        self.hits += 1
+        return entry
+
+    def contains(self, block_id):
+        return block_id in self.sets[block_id % self.num_sets]
+
+    def insert(self, block_id, value, home_unit):
+        s = self.sets[block_id % self.num_sets]
+        if block_id in s:
+            s[block_id].value = value
+            s.move_to_end(block_id)
+            return None
+        victim = None
+        if len(s) >= self.ways:
+            _, victim = s.popitem(last=False)
+            self.evictions += 1
+        s[block_id] = BorrowEntry(block_id, value, home_unit)
+        return victim
+
+    def remove(self, block_id):
+        return self.sets[block_id % self.num_sets].pop(block_id, None)
+
+    def entries(self):
+        return [e for s in self.sets for e in s.values()]
+
+    def __len__(self):
+        return sum(len(s) for s in self.sets)
+
+
+_TABLE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["lookup", "insert", "remove", "contains", "entries", "len"]
+        ),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=7),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TABLE_OPS)
+@example([("insert", 1, 0), ("insert", 0, 0), ("entries", 0, 0)])
+def test_lazy_sets_match_eager_reference(ops):
+    """Random op sequences: same return values, victims, counters and
+    ``entries()`` order (ascending set index, never first-touch order)
+    as the eager reference; only inserts create a set."""
+    # 8 entries, 2 ways -> 4 sets.
+    capacity = DataBorrowedTable.ENTRY_BYTES * 8
+    lazy = DataBorrowedTable(capacity, ways=2)
+    ref = _EagerBorrowedTable(capacity, ways=2)
+    assert (lazy.num_sets, lazy.ways) == (ref.num_sets, ref.ways)
+    inserted = set()
+    for op, block, value in ops:
+        if op == "insert":
+            got = lazy.insert(block, value, home_unit=value % 3)
+            want = ref.insert(block, value, home_unit=value % 3)
+            inserted.add(block % ref.num_sets)
+        elif op in ("lookup", "remove", "contains"):
+            got = getattr(lazy, op)(block)
+            want = getattr(ref, op)(block)
+        elif op == "entries":
+            got, want = lazy.entries(), ref.entries()
+        else:
+            got, want = len(lazy), len(ref)
+        assert got == want
+        assert (lazy.hits, lazy.misses, lazy.evictions) \
+            == (ref.hits, ref.misses, ref.evictions)
+        assert set(lazy._sets) <= inserted
+    assert lazy.entries() == ref.entries()

@@ -1,6 +1,9 @@
 """Tests for the per-unit L1 cache model."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import Design, tiny_config
 from repro.ndp.cache import HIT_LATENCY, L1Cache
@@ -73,3 +76,74 @@ def test_repeated_tasks_on_hot_element_run_faster():
     hot = run([128] * 10)            # same element ten times
     cold = run([i * 4096 for i in range(10)])  # ten distinct rows
     assert hot < cold
+
+
+class _EagerL1:
+    """Reference model: the list-of-OrderedDict L1 that allocates every
+    set up front.  The lazy :class:`L1Cache` must match it op for op."""
+
+    def __init__(self, capacity_bytes, ways, line_bytes=64):
+        self.line_bytes = line_bytes
+        self.ways = ways
+        total_lines = max(ways, capacity_bytes // line_bytes)
+        self.num_sets = max(1, total_lines // ways)
+        self.sets = [OrderedDict() for _ in range(self.num_sets)]
+        self.hits = 0
+        self.misses = 0
+
+    def access(self, addr):
+        line = addr // self.line_bytes
+        s = self.sets[line % self.num_sets]
+        if line in s:
+            s.move_to_end(line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(s) >= self.ways:
+            s.popitem(last=False)
+        s[line] = True
+        return False
+
+    def invalidate(self, addr):
+        line = addr // self.line_bytes
+        self.sets[line % self.num_sets].pop(line, None)
+
+    def invalidate_range(self, base, nbytes):
+        for addr in range(base, base + nbytes, self.line_bytes):
+            self.invalidate(addr)
+
+
+_L1_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["access", "invalidate", "invalidate_range"]),
+        st.integers(min_value=0, max_value=64 * 40),
+        st.integers(min_value=0, max_value=4 * 64),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_L1_OPS)
+@example([("access", 64, 0), ("invalidate", 0, 0), ("access", 0, 0)])
+def test_lazy_sets_match_eager_reference(ops):
+    """Random op sequences: same hits, misses, victims and LRU order as
+    the eager reference; probes and invalidations never create a set."""
+    # 8 lines, 2 ways -> 4 sets, so collisions and evictions are common.
+    lazy, ref = L1Cache(8 * 64, ways=2), _EagerL1(8 * 64, ways=2)
+    assert (lazy.num_sets, lazy.ways) == (ref.num_sets, ref.ways)
+    filled = set()
+    for op, addr, nbytes in ops:
+        if op == "access":
+            assert lazy.access(addr) == ref.access(addr)
+            filled.add(addr // 64 % ref.num_sets)
+        elif op == "invalidate":
+            lazy.invalidate(addr)
+            ref.invalidate(addr)
+        else:
+            lazy.invalidate_range(addr, nbytes)
+            ref.invalidate_range(addr, nbytes)
+        assert (lazy.hits, lazy.misses) == (ref.hits, ref.misses)
+        assert set(lazy._sets) <= filled
+        assert [list(lazy._sets.get(i, ())) for i in range(ref.num_sets)] \
+            == [list(s) for s in ref.sets]

@@ -26,7 +26,8 @@ def metrics(app="tree", design="O", makespan=100):
 
 def test_geomean():
     assert geomean([2.0, 8.0]) == pytest.approx(4.0)
-    assert geomean([]) == 0.0
+    with pytest.raises(ValueError):
+        geomean([])
 
 
 def test_text_table_alignment():

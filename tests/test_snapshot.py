@@ -173,6 +173,35 @@ def test_verify_inventory_clean_on_live_system():
     system.finish()
 
 
+def test_fresh_system_allocates_no_per_set_tables():
+    """L1 and dataBorrowed sets are created on first touch: a fresh
+    system, and a fork of it, hold no per-set containers (the deep
+    clone pays for every one)."""
+    from repro.balance.metadata import DataBorrowedTable
+    from repro.ndp.cache import L1Cache
+    from repro.state.snapshot import component_registry
+
+    def tables_by_owner(system):
+        registry = component_registry(system)
+        found = {}
+        for path, obj in registry.items():
+            if isinstance(obj, (L1Cache, DataBorrowedTable)):
+                owner = type(registry[path.rsplit(".", 1)[0]]).__name__
+                key = (owner, type(obj).__name__)
+                found[key] = found.get(key, 0) + 1
+                assert obj._sets == {}, f"{path} allocated sets eagerly"
+        return found
+
+    system = build_system(scaled_config(128, Design.O, seed=7))
+    found = tables_by_owner(system)
+    assert found[("NDPUnit", "L1Cache")] == 128
+    assert found[("NDPUnit", "DataBorrowedTable")] == 128
+    assert found[("Level1Bridge", "DataBorrowedTable")] >= 1
+    assert found[("Level2Bridge", "DataBorrowedTable")] == 1
+    forked, _ = snapshot(system).fork()
+    assert tables_by_owner(forked) == found
+
+
 def test_run_app_does_not_import_snapshot_machinery():
     """Zero fast-path cost: a plain run never loads repro.state."""
     probe = (
