@@ -2,6 +2,7 @@
 
 import sys
 
-from . import main
+from .cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main())

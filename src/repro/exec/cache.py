@@ -37,7 +37,7 @@ from ..energy import EnergyBreakdown
 #: Bump to invalidate caches when the serialization format changes.
 FORMAT_VERSION = 1
 
-#: Every field :func:`cell_key` can put into the key blob.  The simrace
+#: Every field :func:`cell_key` can put into the key blob.  The env-knob
 #: fingerprint registry (:mod:`repro.race.fingerprints`) declares which
 #: environment knobs influence results and which cache-key field carries
 #: each one; the cross-check below fails at import time if a knob claims

@@ -20,7 +20,7 @@ Environment knobs:
 * ``NDPBRIDGE_CACHE_DIR`` / ``NDPBRIDGE_CACHE=0`` -- see
   :mod:`repro.exec.cache`.
 
-Every knob read here is declared in the simrace fingerprint registry
+Every knob read here is declared in the env-knob fingerprint registry
 (:mod:`repro.race.fingerprints`): knobs that influence results must map
 onto a cache-key field, and pure execution knobs (like these) carry a
 justification for why they cannot change a cached value.  The RC003

@@ -21,7 +21,7 @@ Under ``NDPBRIDGE_SANITIZE=1`` every pipe additionally carries a
 sha256 digests over a canonical encoding of each command and reply.  At
 shutdown the worker ships its digests back and the parent cross-checks
 them, proving both sides observed identical payload streams (the
-runtime half of the simrace analyzer's process-boundary contract).
+runtime half of the RC rules' process-boundary contract).
 """
 
 from __future__ import annotations

@@ -1,60 +1,13 @@
-"""simflow -- message-protocol static analysis + lifecycle auditing.
+"""The runtime message-lifecycle audit.
 
-simlint (:mod:`repro.lint`) checks per-file determinism invariants;
-simflow checks the *protocol*: the cross-module send->handle graph of
-TASK/DATA/STATE messages through the bridge hierarchy, plus a runtime
-conservation audit of every message a sanitized run creates.
-
-Static rules (``python -m repro.flow src``):
-
-=======  ==============================================================
-rule     invariant
-=======  ==============================================================
-FL001    every produced message type has a reachable handler under
-         every fabric design (C/B/W/O/H/R) it can be created on
-FL002    every bounded ``Mailbox.enqueue()`` / ``MessageBuffer.push()``
-         call site handles the False backpressure return
-FL003    rejection branches provably escape (raise / return False /
-         spill unbounded) -- a blocking wait can deadlock the bridge
-         buffer cycle (one gather burst of 128 KiB > 64 KiB backup)
-FL004    isLent/dataBorrowed balance metadata is touched only through
-         the public API of balance/metadata.py
-=======  ==============================================================
-
-Suppress per line with ``# simflow: ignore[FL002]`` (bare ``ignore``
-silences the line).  Both CLIs share ``--format sarif`` for CI
-annotation.
-
-Runtime half: ``NDPBRIDGE_SANITIZE=1`` attaches a
+``NDPBRIDGE_SANITIZE=1`` attaches a
 :class:`~repro.flow.auditor.MessageAuditor` that tags every message id
 and proves ``created == delivered + dropped + in_flight`` at run()
 exit, flagging leaks, double deliveries, and rejections the stats
-never recorded.
+never recorded.  The static half -- the FL rules over the send->handle
+graph -- lives in :mod:`repro.analyze`.
 """
 
 from .auditor import FlowAuditError, MessageAuditor
-from .checker import FLOW_SCOPE_PREFIXES, analyze_paths, analyze_sources
-from .graph import (
-    DESIGNS,
-    MESSAGE_CLASSES,
-    ProtocolGraph,
-    build_protocol_graph,
-    design_active,
-)
-from .rules import FLOW_RULE_CODES, FLOW_RULES, FlowRule
 
-__all__ = [
-    "DESIGNS",
-    "FLOW_RULES",
-    "FLOW_RULE_CODES",
-    "FLOW_SCOPE_PREFIXES",
-    "FlowAuditError",
-    "FlowRule",
-    "MESSAGE_CLASSES",
-    "MessageAuditor",
-    "ProtocolGraph",
-    "analyze_paths",
-    "analyze_sources",
-    "build_protocol_graph",
-    "design_active",
-]
+__all__ = ["FlowAuditError", "MessageAuditor"]

@@ -1,8 +1,8 @@
 """Runtime message-lifecycle conservation auditing.
 
-The static half of simflow proves properties of the *code*; this module
-proves the matching property of a *run*: every message the system ever
-creates is accounted for at exit,
+The static FL rules (:mod:`repro.analyze`) prove properties of the
+*code*; this module proves the matching property of a *run*: every
+message the system ever creates is accounted for at exit,
 
     created == delivered + dropped + in_flight
 

@@ -24,8 +24,8 @@ state, order-dependent accumulation, or a non-total delivery sort.  A
 mismatch raises :class:`RaceError` naming the diverging shards.
 
 The fuzzer drives real runs, so it lives behind explicit entry points
-(``python -m repro.race --fuzz APP``, the sanitize-gated CI smoke, and
-the property tests) rather than inside the simulation fast path.
+(the property tests in ``tests/test_race_detector.py``, which CI also
+runs sanitized) rather than inside the simulation fast path.
 """
 
 from __future__ import annotations

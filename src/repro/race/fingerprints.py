@@ -7,7 +7,7 @@ stopped the *next* knob from repeating the mistake.  This registry turns
 that one-off fix into an enforced invariant:
 
 * every ``os.environ`` / ``os.getenv`` read in the tree must name a knob
-  declared here (simrace rule RC003 fails the build otherwise), and
+  declared here (rule RC003 fails the build otherwise), and
 * every knob declared ``fingerprinted`` must map to a field of the cache
   key -- :mod:`repro.exec.cache` cross-checks the mapping at import time,
   so the registry and the key can never drift apart.

@@ -13,7 +13,7 @@ class Component:
     Components form a tree through ``parent`` purely for naming/debugging;
     the actual wiring (who talks to whom) is explicit in each subclass.
 
-    **State-ownership declarations** (the simstate ST005 contract): a
+    **State-ownership declarations** (the ST005 rule's contract): a
     class whose ``__init__`` stores a caller-provided mutable container
     must say who owns it, so per-object restore has a single registered
     owner for every aliased structure:

@@ -100,7 +100,7 @@ def deep_clone(obj: Any, memo: "Dict[int, Any] | None" = None) -> Any:
     except TypeError as exc:
         raise SnapshotError(
             f"object graph holds unsnapshottable state: {exc} -- "
-            f"the simstate ST002 rule flags these statically"
+            f"the ST002 rule flags these statically"
         ) from exc
     finally:
         if previous is None:

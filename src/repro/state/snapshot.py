@@ -43,10 +43,12 @@ import hashlib
 import sys
 import types
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .clone import SnapshotError, deep_clone
-from .inventory import StateInventory
+
+if TYPE_CHECKING:
+    from ..analyze.inventory import StateInventory
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",

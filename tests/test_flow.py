@@ -1,29 +1,29 @@
-"""simflow static-analysis test suite.
+"""FL (message-protocol) rule suite.
 
-Mirrors the simlint suite's contract: every FL rule must (a) catch its
+Mirrors the SL suite's contract: every FL rule must (a) catch its
 hazard in a positive fixture, (b) stay quiet under a
-``# simflow: ignore[RULE]`` comment, and (c) stay quiet on a clean
+``# analyze: ignore[RULE]`` comment, and (c) stay quiet on a clean
 variant of the same code.  A meta-test asserts the repository's own
 protocol layer is clean through the real CLI, which is what makes the
-CI flow gate meaningful.
+CI analyze gate meaningful.
 """
-
-import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from repro.flow import FLOW_RULE_CODES, FLOW_RULES, analyze_sources
-from repro.flow.graph import design_active
+from repro.analyze import SYNTAX_ERROR, analyze_sources
+from repro.analyze.flow_graph import design_active
+from repro.analyze.flow_rules import FLOW_RULES
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from . import test_analyze as cli
+
+FLOW_RULE_CODES = [rule.code for rule in FLOW_RULES]
 
 
 def codes(source, module_path="repro/bridge/fixture.py", path="fixture.py"):
     return [
-        d.rule for d in analyze_sources([(path, module_path, source)])
+        d.rule
+        for d in analyze_sources([(path, module_path, source)])
+        if d.rule.startswith("FL")
     ]
 
 
@@ -115,7 +115,7 @@ def test_rule_fires_on_hazard(code):
 def test_rule_suppressed_by_ignore_comment(code):
     source, module_path, line = FIXTURES[code]
     lines = source.splitlines()
-    lines[line - 1] += f"  # simflow: ignore[{code}] fixture justification"
+    lines[line - 1] += f"  # analyze: ignore[{code}] fixture justification"
     suppressed = "\n".join(lines) + "\n"
     assert code not in codes(suppressed, module_path)
 
@@ -124,7 +124,7 @@ def test_rule_suppressed_by_ignore_comment(code):
 def test_rule_suppressed_by_bare_ignore(code):
     source, module_path, line = FIXTURES[code]
     lines = source.splitlines()
-    lines[line - 1] += "  # simflow: ignore"
+    lines[line - 1] += "  # analyze: ignore"
     suppressed = "\n".join(lines) + "\n"
     assert code not in codes(suppressed, module_path)
 
@@ -229,59 +229,23 @@ def test_syntax_error_reported_not_crashed():
     diags = analyze_sources(
         [("broken.py", "repro/bridge/broken.py", "def f(:\n")]
     )
-    assert [d.rule for d in diags] == ["FL000"]
+    assert [d.rule for d in diags] == [SYNTAX_ERROR]
 
 
 # ----------------------------------------------------------------------
 # meta: the repository's own protocol layer must be clean, via the CLI
 # ----------------------------------------------------------------------
-def _run_cli(*args, cwd=REPO_ROOT):
-    env_path = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.flow", *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-    )
-
-
 def test_cli_clean_on_repo_src():
-    proc = _run_cli("src")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "clean" in proc.stdout
+    cli.check_clean_on_repo_src()
 
 
 def test_cli_exit_1_on_finding(tmp_path):
-    bad = tmp_path / "repro" / "bridge" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("def f(mb, m):\n    mb.enqueue(m)\n")
-    proc = _run_cli(str(bad))
-    assert proc.returncode == 1
-    assert "FL002" in proc.stdout
+    cli.check_exit_1_on_finding(tmp_path, "FL")
 
 
 def test_cli_list_rules():
-    proc = _run_cli("--list-rules")
-    assert proc.returncode == 0
-    for code in FLOW_RULE_CODES:
-        assert code in proc.stdout
-    assert "simflow: ignore" in proc.stdout
+    cli.check_list_rules("FL")
 
 
 def test_cli_sarif_output(tmp_path):
-    bad = tmp_path / "repro" / "bridge" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("def f(mb, m):\n    mb.enqueue(m)\n")
-    out = tmp_path / "flow.sarif"
-    proc = _run_cli("--format", "sarif", "-o", str(out), str(bad))
-    assert proc.returncode == 1
-    report = json.loads(out.read_text())
-    assert report["version"] == "2.1.0"
-    run = report["runs"][0]
-    assert run["tool"]["driver"]["name"] == "simflow"
-    rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert rule_ids == list(FLOW_RULE_CODES)
-    result = run["results"][0]
-    assert result["ruleId"] == "FL002"
-    assert rule_ids[result["ruleIndex"]] == "FL002"
+    cli.check_sarif_output(tmp_path, "FL")

@@ -1,4 +1,4 @@
-"""Message-lifecycle auditor tests (the runtime half of simflow).
+"""Message-lifecycle auditor tests (the runtime half of the FL rules).
 
 Three groups, mirroring tests/test_sanitizer.py's contract:
 

@@ -1,25 +1,36 @@
-"""simlint test suite.
+"""SL (determinism) rule suite.
 
 Every rule must (a) catch its hazard in a positive fixture, (b) stay
-quiet when the finding line carries a ``# simlint: ignore[RULE]``
+quiet when the finding line carries a ``# analyze: ignore[RULE]``
 comment, and (c) stay quiet when the module is allowlisted.  A meta-test
 asserts the repository's own ``src/`` tree is clean, which is what makes
-the CI lint gate meaningful.
+the CI analyze gate meaningful.
 """
 
-import subprocess
-import sys
-from pathlib import Path
+import json
 
 import pytest
 
-from repro.lint import ALLOWLIST, RULES, AllowlistEntry, lint_source
-from repro.lint.allowlist import is_allowlisted
-from repro.lint.checker import iter_python_files
+from repro.analyze import (
+    ALLOWLIST,
+    SYNTAX_ERROR,
+    AllowlistEntry,
+    analyze_sources,
+    iter_python_files,
+)
+from repro.analyze.lint_rules import LINT_RULES as RULES
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from . import test_analyze as cli
 
 RULE_CODES = [rule.code for rule in RULES]
+
+
+def lint_source(source, path="<string>", module_path="fixture.py"):
+    return [
+        d
+        for d in analyze_sources([(path, module_path, source)])
+        if d.rule.startswith("SL") or d.rule == SYNTAX_ERROR
+    ]
 
 
 def codes(source, module_path="repro/sim/fixture.py", path="fixture.py"):
@@ -108,7 +119,7 @@ def test_rule_fires_on_hazard(code):
 def test_rule_suppressed_by_ignore_comment(code):
     source, module_path, line = FIXTURES[code]
     lines = source.splitlines()
-    lines[line - 1] += f"  # simlint: ignore[{code}] fixture justification"
+    lines[line - 1] += f"  # analyze: ignore[{code}] fixture justification"
     suppressed = "\n".join(lines) + "\n"
     assert code not in codes(suppressed, module_path)
 
@@ -117,7 +128,7 @@ def test_rule_suppressed_by_ignore_comment(code):
 def test_rule_suppressed_by_bare_ignore(code):
     source, module_path, line = FIXTURES[code]
     lines = source.splitlines()
-    lines[line - 1] += "  # simlint: ignore"
+    lines[line - 1] += "  # analyze: ignore"
     suppressed = "\n".join(lines) + "\n"
     assert code not in codes(suppressed, module_path)
 
@@ -130,9 +141,7 @@ def test_rule_respects_allowlist(code, monkeypatch):
         module=module_path,
         justification="fixture: testing the allowlist mechanism",
     )
-    monkeypatch.setattr(
-        "repro.lint.allowlist.ALLOWLIST", ALLOWLIST + (entry,)
-    )
+    monkeypatch.setattr("repro.analyze.ALLOWLIST", ALLOWLIST + (entry,))
     assert code not in codes(source, module_path)
 
 
@@ -250,11 +259,13 @@ def test_plain_id_call_is_clean():
 def test_allowlist_entries_carry_justifications():
     for entry in ALLOWLIST:
         assert entry.justification.strip(), entry
-        assert entry.rule in RULE_CODES, entry
+        assert entry.rule in cli.RULE_CODES, entry
 
 
 def test_rng_module_is_allowlisted_for_sl002():
-    assert is_allowlisted("SL002", "repro/sim/rng.py")
+    assert ("SL002", "repro/sim/rng.py") in {
+        (entry.rule, entry.module) for entry in ALLOWLIST
+    }
     assert codes("import random\n", "repro/sim/rng.py") == []
 
 
@@ -267,7 +278,7 @@ def test_diagnostic_format_is_greppable():
 
 def test_syntax_error_reported_not_crashed():
     diags = lint_source("def f(:\n", path="broken.py")
-    assert [d.rule for d in diags] == ["SL000"]
+    assert [d.rule for d in diags] == [SYNTAX_ERROR]
 
 
 def test_iter_python_files_deterministic_order(tmp_path):
@@ -280,71 +291,27 @@ def test_iter_python_files_deterministic_order(tmp_path):
 # ----------------------------------------------------------------------
 # meta: the repository itself must be clean, via the real CLI
 # ----------------------------------------------------------------------
-def _run_cli(*args, cwd=REPO_ROOT):
-    env_path = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-    )
-
-
 def test_cli_clean_on_repo_src():
-    proc = _run_cli("src")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "clean" in proc.stdout
+    cli.check_clean_on_repo_src()
 
 
 def test_cli_exit_1_on_finding(tmp_path):
-    bad = tmp_path / "repro" / "sim" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("import time\nt = time.time()\n")
-    proc = _run_cli(str(bad))
-    assert proc.returncode == 1
-    assert "SL001" in proc.stdout
+    cli.check_exit_1_on_finding(tmp_path, "SL")
 
 
 def test_cli_list_rules():
-    proc = _run_cli("--list-rules")
-    assert proc.returncode == 0
-    for code in RULE_CODES:
-        assert code in proc.stdout
-    assert "repro/sim/rng.py" in proc.stdout  # allowlist shown with why
+    cli.check_list_rules("SL")
+    assert "repro/sim/rng.py" in cli.cached_cli("--list-rules").stdout
 
 
 def test_cli_sarif_output(tmp_path):
-    import json
-
-    bad = tmp_path / "repro" / "sim" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("import time\nt = time.time()\n")
-    out = tmp_path / "lint.sarif"
-    proc = _run_cli("--format", "sarif", "-o", str(out), str(bad))
-    assert proc.returncode == 1
-    report = json.loads(out.read_text())
-    assert report["version"] == "2.1.0"
-    run = report["runs"][0]
-    assert run["tool"]["driver"]["name"] == "simlint"
-    rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert rule_ids == RULE_CODES
-    result = run["results"][0]
-    assert result["ruleId"] == "SL001"
-    region = result["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] == 2
-    assert region["startColumn"] >= 1  # SARIF columns are 1-based
-    # ruleIndex must point back into the driver rule table.
-    assert rule_ids[result["ruleIndex"]] == "SL001"
+    cli.check_sarif_output(tmp_path, "SL")
 
 
 def test_cli_sarif_clean_is_exit_0(tmp_path):
-    import json
-
     good = tmp_path / "repro" / "sim" / "ok.py"
     good.parent.mkdir(parents=True)
     good.write_text("x = 1\n")
-    proc = _run_cli("--format", "sarif", str(good))
+    proc = cli.run_cli("--format", "sarif", str(good))
     assert proc.returncode == 0
-    report = json.loads(proc.stdout)
-    assert report["runs"][0]["results"] == []
+    assert json.loads(proc.stdout)["runs"][0]["results"] == []

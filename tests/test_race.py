@@ -1,28 +1,22 @@
-"""simrace static-analysis test suite (rules RC001-RC005).
+"""RC (shard isolation) rule suite.
 
-Mirrors the simlint/simflow/simstate contract: every RC rule must
+Mirrors the SL/FL/ST contract: every RC rule must
 (a) catch its hazard in a positive fixture, (b) stay quiet under a
-``# simrace: ignore[RULE]`` comment, and (c) stay quiet on a clean
+``# analyze: ignore[RULE]`` comment, and (c) stay quiet on a clean
 variant of the same code.  The fingerprint registry and its cache-key
 cross-check are exercised directly, and meta-tests assert the
 repository's own tree is clean through the real CLI -- plus the
-``--baseline`` / ``--jobs`` modes of the unified analyze gate.
+``--baseline`` mode of the analyze gate.
 """
 
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from repro.analyze import SYNTAX_ERROR, analyze_sources
+from repro.analyze.cli import baseline_fingerprints
 from repro.exec import cache as exec_cache
-from repro.race import (
-    ENV_REGISTRY,
-    RACE_RULE_CODES,
-    RACE_RULES,
-    race_source,
-)
+from repro.race import ENV_REGISTRY
 from repro.race.fingerprints import (
     fingerprint_field_of,
     fingerprinted_knobs,
@@ -30,7 +24,15 @@ from repro.race.fingerprints import (
     registered_names,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from . import test_analyze as cli
+
+
+def race_source(source, path="<string>", module_path="fixture.py"):
+    return [
+        d
+        for d in analyze_sources([(path, module_path, source)])
+        if d.rule.startswith("RC") or d.rule == SYNTAX_ERROR
+    ]
 
 
 def codes(source, module_path="repro/ndp/fixture.py", path="fixture.py"):
@@ -310,7 +312,7 @@ def test_rc005_out_of_scope_module_is_clean():
 def test_simrace_ignore_silences_rule(source, module_path, code):
     lines = source.splitlines()
     diag = race_source(source, module_path=module_path)[0]
-    lines[diag.line - 1] += f"  # simrace: ignore[{code}] fixture"
+    lines[diag.line - 1] += f"  # analyze: ignore[{code}] fixture"
     assert codes("\n".join(lines) + "\n", module_path=module_path) == []
 
 
@@ -326,8 +328,8 @@ def test_allowlist_sanctions_coordinator_module():
     assert codes(RC001_ABS, module_path="repro/sim/sharded.py") == []
 
 
-def test_syntax_error_yields_rc000():
-    assert codes("def broken(:\n") == ["RC000"]
+def test_syntax_error_reported_not_crashed():
+    assert codes("def broken(:\n") == [SYNTAX_ERROR]
 
 
 # ----------------------------------------------------------------------
@@ -392,117 +394,69 @@ def test_cell_key_fields_match_cell_key_blob():
 # ----------------------------------------------------------------------
 # meta: the repository's own tree is clean, via the real CLI
 # ----------------------------------------------------------------------
-def _run_cli(module, *args, cwd=REPO_ROOT):
-    env_path = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", module, *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-    )
-
-
 def test_cli_clean_on_repo_src():
-    proc = _run_cli("repro.race", "src")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "simrace: clean" in proc.stdout
+    cli.check_clean_on_repo_src()
 
 
 def test_cli_exit_1_on_finding(tmp_path):
-    bad = tmp_path / "repro" / "ndp" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text(RC001_ABS)
-    proc = _run_cli("repro.race", str(bad))
-    assert proc.returncode == 1
-    assert "RC001" in proc.stdout
+    cli.check_exit_1_on_finding(tmp_path, "RC")
 
 
 def test_cli_list_rules():
-    proc = _run_cli("repro.race", "--list-rules")
-    assert proc.returncode == 0
-    for code in RACE_RULE_CODES:
-        assert code in proc.stdout
-    assert "simrace: ignore" in proc.stdout
+    cli.check_list_rules("RC")
 
 
 def test_cli_sarif_output(tmp_path):
-    bad = tmp_path / "repro" / "ndp" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text(RC001_ABS)
-    out = tmp_path / "race.sarif"
-    proc = _run_cli(
-        "repro.race", "--format", "sarif", "-o", str(out), str(bad)
-    )
-    assert proc.returncode == 1
-    report = json.loads(out.read_text())
-    run = report["runs"][0]
-    assert run["tool"]["driver"]["name"] == "simrace"
-    assert run["results"][0]["ruleId"] == "RC001"
-    assert len(run["tool"]["driver"]["rules"]) == len(RACE_RULES)
+    cli.check_sarif_output(tmp_path, "RC")
 
 
 # ----------------------------------------------------------------------
-# the unified gate: --jobs and --baseline
+# the analyze gate's --baseline mode
 # ----------------------------------------------------------------------
 def _bad_tree(tmp_path):
     bad = tmp_path / "repro" / "ndp" / "bad.py"
     bad.parent.mkdir(parents=True)
-    # Trips simstate (mutable module global) and simrace (RC001) at once.
+    # Trips ST (mutable module global) and RC001 at once.
     bad.write_text("seen = {}\n" + RC001_ABS)
     return bad
 
 
-def test_analyze_jobs_parallel_matches_serial(tmp_path):
-    bad = _bad_tree(tmp_path)
-    serial = _run_cli("repro.analyze", "-q", str(bad))
-    par = _run_cli("repro.analyze", "-q", "--jobs", "4", str(bad))
-    assert serial.returncode == par.returncode == 1
-    assert serial.stdout == par.stdout
-    assert "RC001" in par.stdout and "ST003" in par.stdout
+def _write_baseline(tmp_path, bad):
+    baseline = tmp_path / "baseline.sarif"
+    first = cli.run_cli(
+        "--format", "sarif", "-o", str(baseline), str(bad)
+    )
+    assert first.returncode == 1
+    return baseline
 
 
 def test_analyze_baseline_suppresses_known_findings(tmp_path):
     bad = _bad_tree(tmp_path)
-    baseline = tmp_path / "baseline.sarif"
-    first = _run_cli(
-        "repro.analyze", "--format", "sarif", "-o", str(baseline), str(bad)
-    )
-    assert first.returncode == 1
-    again = _run_cli("repro.analyze", "--baseline", str(baseline), str(bad))
+    baseline = _write_baseline(tmp_path, bad)
+    again = cli.run_cli("--baseline", str(baseline), str(bad))
     assert again.returncode == 0, again.stdout + again.stderr
-    assert "baseline finding(s) suppressed" in again.stdout
+    assert "2 baseline finding(s) suppressed" in again.stdout
     assert "analyze: clean" in again.stdout
 
 
 def test_analyze_baseline_fails_on_new_finding(tmp_path):
     bad = _bad_tree(tmp_path)
-    baseline = tmp_path / "baseline.sarif"
-    _run_cli(
-        "repro.analyze", "--format", "sarif", "-o", str(baseline), str(bad)
-    )
+    baseline = _write_baseline(tmp_path, bad)
     # A brand-new hazard in a second file is NOT in the baseline.
     worse = bad.parent / "worse.py"
     worse.write_text(RC005_PID)
-    proc = _run_cli(
-        "repro.analyze", "--baseline", str(baseline), str(bad.parent)
-    )
+    proc = cli.run_cli("--baseline", str(baseline), str(bad.parent))
     assert proc.returncode == 1
     assert "RC005" in proc.stdout
-    assert "new finding(s)" in proc.stdout
+    assert "1 new finding(s)" in proc.stdout
 
 
 def test_analyze_baseline_ignores_line_shifts(tmp_path):
-    from repro.analyze import baseline_fingerprints
-
     bad = _bad_tree(tmp_path)
-    baseline = tmp_path / "baseline.sarif"
-    _run_cli(
-        "repro.analyze", "--format", "sarif", "-o", str(baseline), str(bad)
-    )
+    baseline = _write_baseline(tmp_path, bad)
     prints = baseline_fingerprints(json.loads(baseline.read_text()))
-    assert prints
+    assert {rule for rule, _uri, _message in prints} == {"ST003", "RC001"}
     # Shift every finding down ten lines; fingerprints must not change.
     bad.write_text("\n" * 10 + bad.read_text())
-    proc = _run_cli("repro.analyze", "--baseline", str(baseline), str(bad))
+    proc = cli.run_cli("--baseline", str(baseline), str(bad))
     assert proc.returncode == 0, proc.stdout

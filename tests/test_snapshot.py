@@ -159,7 +159,7 @@ def test_unsnapshottable_attribute_raises(tmp_path):
 
 def test_verify_inventory_clean_on_live_system():
     """Every live attribute is statically declared (ST001's promise)."""
-    from repro.state import build_tree_inventory
+    from repro.analyze import build_tree_inventory
 
     inventory = build_tree_inventory([REPO_ROOT / "src"])
     cfg = tiny_config(Design.O)

@@ -1,34 +1,38 @@
-"""simstate static-analysis test suite.
+"""ST (state inventory) rule suite.
 
-Mirrors the simlint/simflow contract: every ST rule must (a) catch its
+Mirrors the SL/FL contract: every ST rule must (a) catch its
 hazard in a positive fixture, (b) stay quiet under a
-``# simstate: ignore[RULE]`` comment, and (c) stay quiet on a clean
+``# analyze: ignore[RULE]`` comment, and (c) stay quiet on a clean
 variant of the same code.  Allowlisted module paths are exercised with
 a real allowlist entry.  Meta-tests assert the repository's own
-simulation tree is clean through the real CLI, and that the unified
-``python -m repro.analyze`` gate aggregates all four analyzers.
+simulation tree is clean through the real CLI, and that one gate run
+reports every namespace's findings together.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.state import (
-    STATE_RULE_CODES,
-    STATE_RULES,
+from repro.analyze import (
+    ALLOWLIST,
+    SYNTAX_ERROR,
     analyze_sources,
     build_tree_inventory,
 )
+from repro.analyze.state_rules import STATE_RULES
+
+from . import test_analyze as cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+STATE_RULE_CODES = [rule.code for rule in STATE_RULES]
 
 
 def codes(source, module_path="repro/ndp/fixture.py", path="fixture.py"):
     return [
-        d.rule for d in analyze_sources([(path, module_path, source)])
+        d.rule
+        for d in analyze_sources([(path, module_path, source)])
+        if d.rule.startswith("ST")
     ]
 
 
@@ -143,7 +147,7 @@ def test_rule_fires_on_hazard(code):
 def test_rule_suppressed_by_ignore_comment(code):
     source, module_path, line = FIXTURES[code]
     lines = source.splitlines()
-    lines[line - 1] += f"  # simstate: ignore[{code}] fixture justification"
+    lines[line - 1] += f"  # analyze: ignore[{code}] fixture justification"
     suppressed = "\n".join(lines) + "\n"
     assert code not in codes(suppressed, module_path)
 
@@ -152,7 +156,7 @@ def test_rule_suppressed_by_ignore_comment(code):
 def test_rule_suppressed_by_bare_ignore(code):
     source, module_path, line = FIXTURES[code]
     lines = source.splitlines()
-    lines[line - 1] += "  # simstate: ignore"
+    lines[line - 1] += "  # analyze: ignore"
     suppressed = "\n".join(lines) + "\n"
     assert code not in codes(suppressed, module_path)
 
@@ -180,9 +184,9 @@ def test_allowlisted_module_is_exempt():
 
 
 def test_allowlist_entries_are_validated():
-    from repro.state.allowlist import ALLOWLIST
-
-    for entry in ALLOWLIST:
+    state_entries = [e for e in ALLOWLIST if e.rule.startswith("ST")]
+    assert len(state_entries) == 4
+    for entry in state_entries:
         assert entry.rule in STATE_RULE_CODES
         assert entry.justification.strip()
 
@@ -211,7 +215,7 @@ def test_st001_sees_cross_module_inheritance():
         ("base.py", "repro/sim/base_fixture.py", base),
         ("child.py", "repro/ndp/child_fixture.py", child),
     ])
-    assert [d.rule for d in diags] == []
+    assert [d.rule for d in diags if d.rule.startswith("ST")] == []
 
 
 def test_st001_flags_dynamic_setattr():
@@ -249,7 +253,7 @@ def test_syntax_error_reported_not_crashed():
     diags = analyze_sources(
         [("broken.py", "repro/bridge/broken.py", "def f(:\n")]
     )
-    assert [d.rule for d in diags] == ["ST000"]
+    assert [d.rule for d in diags] == [SYNTAX_ERROR]
 
 
 def test_tree_inventory_covers_component_classes():
@@ -263,100 +267,51 @@ def test_tree_inventory_covers_component_classes():
 # ----------------------------------------------------------------------
 # meta: the repository's own simulation tree must be clean, via the CLI
 # ----------------------------------------------------------------------
-def _run_cli(module, *args, cwd=REPO_ROOT):
-    env_path = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", module, *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-    )
-
-
 def test_cli_clean_on_repo_src():
-    proc = _run_cli("repro.state", "src")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "clean" in proc.stdout
+    cli.check_clean_on_repo_src()
 
 
 def test_cli_exit_1_on_finding(tmp_path):
-    bad = tmp_path / "repro" / "bridge" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("seen = {}\n")
-    proc = _run_cli("repro.state", str(bad))
-    assert proc.returncode == 1
-    assert "ST003" in proc.stdout
+    cli.check_exit_1_on_finding(tmp_path, "ST")
 
 
 def test_cli_list_rules():
-    proc = _run_cli("repro.state", "--list-rules")
-    assert proc.returncode == 0
-    for code in STATE_RULE_CODES:
-        assert code in proc.stdout
-    assert "simstate: ignore" in proc.stdout
+    cli.check_list_rules("ST")
 
 
 def test_cli_sarif_output(tmp_path):
-    bad = tmp_path / "repro" / "bridge" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("seen = {}\n")
-    out = tmp_path / "state.sarif"
-    proc = _run_cli(
-        "repro.state", "--format", "sarif", "-o", str(out), str(bad)
-    )
-    assert proc.returncode == 1
-    report = json.loads(out.read_text())
-    assert report["version"] == "2.1.0"
-    run = report["runs"][0]
-    assert run["tool"]["driver"]["name"] == "simstate"
-    result = run["results"][0]
-    assert result["ruleId"] == "ST003"
-
-
-def test_cli_inventory_dump(tmp_path):
-    out = tmp_path / "inventory.json"
-    proc = _run_cli(
-        "repro.state", "--inventory", "-o", str(out), "src/repro/ndp"
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    data = json.loads(out.read_text())
-    assert any("ndp" in key for key in data)
+    cli.check_sarif_output(tmp_path, "ST")
 
 
 # ----------------------------------------------------------------------
-# the unified gate: python -m repro.analyze
+# one gate, every namespace
 # ----------------------------------------------------------------------
 def test_analyze_clean_on_repo_src():
-    proc = _run_cli("repro.analyze", "src")
+    proc = cli.cached_cli("src")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    for tool in ("simlint", "simflow", "simstate", "simrace"):
-        assert f"{tool}: clean" in proc.stdout
-    assert "analyze: clean -- 4 tools" in proc.stdout
+    assert "analyze: clean" in proc.stdout and "22 rules" in proc.stdout
+
+
+def _two_namespace_file(tmp_path):
+    bad = tmp_path / "repro" / "bridge" / "bad.py"
+    bad.parent.mkdir(parents=True)
+    # One file tripping two namespaces at once.
+    bad.write_text("seen = {}\ndef f(mb, m):\n    mb.enqueue(m)\n")
+    return bad
 
 
 def test_analyze_exit_1_and_tool_prefix(tmp_path):
-    bad = tmp_path / "repro" / "bridge" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    # One file tripping two different tools at once.
-    bad.write_text("seen = {}\ndef f(mb, m):\n    mb.enqueue(m)\n")
-    proc = _run_cli("repro.analyze", str(bad))
+    proc = cli.run_cli(str(_two_namespace_file(tmp_path)))
     assert proc.returncode == 1
-    assert "simstate: " in proc.stdout and "ST003" in proc.stdout
-    assert "simflow: " in proc.stdout and "FL002" in proc.stdout
+    assert " ST003 " in proc.stdout and " FL002 " in proc.stdout
+    assert "analyze: 2 finding(s)" in proc.stdout
 
 
 def test_analyze_merged_sarif(tmp_path):
-    bad = tmp_path / "repro" / "bridge" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("seen = {}\n")
     out = tmp_path / "merged.sarif"
-    proc = _run_cli(
-        "repro.analyze", "--format", "sarif", "-o", str(out), str(bad)
+    proc = cli.run_cli(
+        "--format", "sarif", "-o", str(out), str(_two_namespace_file(tmp_path))
     )
     assert proc.returncode == 1
-    report = json.loads(out.read_text())
-    names = [r["tool"]["driver"]["name"] for r in report["runs"]]
-    assert names == ["simlint", "simflow", "simstate", "simrace"]
-    state_run = report["runs"][2]
-    assert [r["ruleId"] for r in state_run["results"]] == ["ST003"]
+    (run,) = json.loads(out.read_text())["runs"]
+    assert [r["ruleId"] for r in run["results"]] == ["ST003", "FL002"]
