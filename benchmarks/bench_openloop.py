@@ -17,16 +17,13 @@ tree levels out and sustains higher rates with flatter tails -- the
 open-loop face of Fig. 10.  The bench asserts only the qualitative
 shape: all designs complete the stream, and B/W/O tail latency is
 distinguishable from C.  Numbers land in ``BENCH_openloop.json``.
-
-``NDPBRIDGE_BENCH_SMOKE=1`` shrinks the stream and records under
-``*_smoke`` keys.  Cells run through the exec layer, so they cache and
-fan out like every other figure's cells.
+Cells run through the exec layer, so they cache and fan out like every
+other figure's cells.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List
 
@@ -34,17 +31,14 @@ from repro.config import Design
 from repro.exec.runner import CellRequest, execute_cells
 from repro.workloads.openloop import OpenLoopSpec, TenantSpec
 
-from .common import BENCH_SEED, bench_config, format_table
-
-SMOKE = os.environ.get("NDPBRIDGE_BENCH_SMOKE", "0") not in ("0", "")
+from .common import BENCH_SEED, BENCH_UNITS, bench_config, format_table
 
 BENCH_OPENLOOP_JSON = (
     Path(__file__).resolve().parent.parent / "BENCH_openloop.json"
 )
 
 APP = "tree"
-SCALE = 0.1 if SMOKE else 0.35
-UNITS = 64 if SMOKE else None  # None -> BENCH_UNITS (default 128)
+SCALE = 0.35
 DESIGNS = [Design.C, Design.B, Design.W, Design.O]
 
 #: Reference stream: tenant "hot" shifts skew 0.6 -> 1.2 mid-run (the
@@ -52,12 +46,12 @@ DESIGNS = [Design.C, Design.B, Design.W, Design.O]
 #: A tree hop costs ~1k cycles of DRAM latency, so the root bank serves
 #: roughly one query per ~100 cycles: the reference gaps sit just past
 #: C's knee while the balanced designs still have headroom.
-N_HOT = 150 if SMOKE else 400
-N_BURST = 80 if SMOKE else 200
+N_HOT = 400
+N_BURST = 200
 GAP_HOT = 200.0
 GAP_BURST = 400.0
 WARMUP = 1000
-SKEW_SHIFT_AT = 10000 if SMOKE else 30000
+SKEW_SHIFT_AT = 30000
 
 #: Offered-rate sweep: arrival gaps scaled by these factors (1.0 is the
 #: reference rate; smaller = faster arrivals).  The slowest point is the
@@ -93,10 +87,6 @@ def openloop_spec(gap_factor: float = 1.0) -> OpenLoopSpec:
     )
 
 
-def _suffix(key: str) -> str:
-    return f"{key}_smoke" if SMOKE else key
-
-
 def record_openloop(key: str, payload: dict) -> None:
     """Merge one measurement into ``BENCH_openloop.json`` under ``key``."""
     data: Dict[str, object] = {}
@@ -114,7 +104,7 @@ def record_openloop(key: str, payload: dict) -> None:
 def _cell(design: Design, gap_factor: float) -> CellRequest:
     return CellRequest(
         app=APP,
-        config=bench_config(design, units=UNITS),
+        config=bench_config(design),
         scale=SCALE,
         seed=BENCH_SEED,
         openloop=openloop_spec(gap_factor),
@@ -141,8 +131,7 @@ def test_openloop_tail_latency_and_throughput():
     rows = []
     payload: Dict[str, object] = {
         "app": APP, "scale": SCALE, "seed": BENCH_SEED,
-        "units": UNITS or int(os.environ.get("NDPBRIDGE_BENCH_UNITS",
-                                             "128")),
+        "units": BENCH_UNITS,
         "warmup": WARMUP,
         "designs": {},
     }
@@ -208,7 +197,7 @@ def test_openloop_tail_latency_and_throughput():
         tp_rows,
     ))
 
-    record_openloop(_suffix(f"openloop_{APP}"), payload)
+    record_openloop(f"openloop_{APP}", payload)
 
     # -- shape assertions ----------------------------------------------
     # The bridge designs time every message through real fabric models,

@@ -7,7 +7,7 @@ toward paper scale:
 
 * ``NDPBRIDGE_BENCH_UNITS`` -- NDP unit count (64..1024, default 128;
   512 is the paper's Table-I system),
-* ``NDPBRIDGE_BENCH_SCALE`` -- workload size multiplier (default 0.35).
+* ``NDPBRIDGE_BENCH_SCALE`` -- workload size multiplier (default 1.0).
 
 Results are printed as aligned text tables mirroring the paper's figure
 series; assertions check the qualitative *shape* (who wins, roughly by
@@ -16,10 +16,8 @@ how much), never absolute cycle counts.
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro import Design, make_app, run_app
 from repro.analysis import RunMetrics
@@ -37,22 +35,6 @@ SWEEP_APPS = ["ll", "tree", "pr"]
 
 #: Seed shared by all benchmark runs (results are fully deterministic).
 BENCH_SEED = 17
-
-
-#: Where the engine perf trajectory is recorded (repo root).
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
-
-def record_bench(key: str, payload: dict) -> None:
-    """Merge one measurement into ``BENCH_engine.json`` under ``key``."""
-    data: Dict[str, object] = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[key] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def bench_config(

@@ -12,6 +12,6 @@ echo "== unit / integration / property tests =="
 python -m pytest tests/ 2>&1 | tee test_output.txt
 
 echo "== per-figure benchmark harness =="
-python -m pytest benchmarks/ --benchmark-only -s 2>&1 | tee bench_output.txt
+python -m pytest benchmarks/ -s 2>&1 | tee bench_output.txt
 
 echo "done; see test_output.txt and bench_output.txt"

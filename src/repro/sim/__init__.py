@@ -3,7 +3,6 @@
 from .engine import Event, SimulationError, Simulator, sanitize_from_env
 from .component import Component
 from .rng import DeterministicRNG
-from .tracing import NULL_TRACER, TraceRecord, Tracer, TracerError
 from .stats import Accumulator, Counter, Histogram, StatsRegistry
 from .partition import PartitionPlan, plan_partition, shards_from_env
 from .sharded import (
@@ -28,10 +27,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "StatsRegistry",
-    "NULL_TRACER",
-    "TraceRecord",
-    "Tracer",
-    "TracerError",
     "PartitionPlan",
     "plan_partition",
     "shards_from_env",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks import bench_openloop
 from benchmarks.common import (
     ALL_APPS,
     bench_config,
@@ -9,6 +10,7 @@ from benchmarks.common import (
     geomean,
     speedups_vs,
 )
+from perfbench import workloads
 from repro.analysis.metrics import RunMetrics
 from repro.config import Design
 
@@ -58,3 +60,9 @@ def test_format_table_shape():
     assert lines[0] == "=== t ==="
     assert lines[1].split() == ["a", "b"]
     assert "2.50" in lines[-1]
+
+
+@pytest.mark.parametrize("gap_factor", [1.0, 0.5])
+def test_perfbench_openloop_stream_is_the_benchs(gap_factor):
+    assert (bench_openloop.openloop_spec(gap_factor)
+            == workloads.openloop_spec(gap_factor))
