@@ -10,8 +10,8 @@ NDP unit with a cache/scratchpad does.
 The model is a set-associative LRU tag array; only hit/miss behaviour is
 tracked (contents live in the application's Python objects).  A set's
 LRU list is created on the first fill into it: most sets of most units
-are never touched, and every container is paid for again by each
-snapshot deep clone.
+are never touched, and every container is pickled by each snapshot and
+rebuilt by each fork.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ allowed to choose must produce bit-identical results.  This module
 turns that promise into a checked property:
 
 1. run the shard set in canonical order and digest every shard's final
-   state (:func:`repro.state.snapshot` ``manifest_digest`` for NDP
-   runtimes, a canonical payload hash for toys);
+   state (the snapshot manifest digest of the live system,
+   :func:`repro.state.snapshot.live_manifest_digest`, for NDP runtimes,
+   a canonical payload hash for toys);
 2. re-run under a :class:`FuzzedInlineTransport` that -- driven by a
    seeded :class:`~repro.sim.rng.DeterministicRNG` -- permutes the
    per-shard execution order of every barrier broadcast and shuffles
@@ -79,8 +80,9 @@ class DigestingRuntime(ShardRuntime):
     """Wraps any shard runtime, stamping a state digest into finalize.
 
     NDP runtimes (anything with a ``.system``) are digested through the
-    snapshot manifest -- the same symbolic state fingerprint the
-    checkpoint subsystem proves bit-identity with.  Toys without a
+    snapshot manifest of the live system (no clone) -- the same symbolic
+    state fingerprint the checkpoint subsystem proves bit-identity with,
+    equal to a snapshot's ``manifest_digest()``.  Toys without a
     system digest their own finalize payload instead.
     """
 
@@ -106,14 +108,12 @@ class DigestingRuntime(ShardRuntime):
         digest: Optional[str] = None
         system = getattr(self.inner, "system", None)
         if system is not None:
-            from ..state.snapshot import snapshot
+            from ..state.snapshot import live_manifest_digest
 
             # Digest *before* finalize: the manifest captures the live
             # end-of-run state (queues drained, counters final) at the
             # same point in every execution.
-            digest = snapshot(
-                system, getattr(self.inner, "app", None)
-            ).manifest_digest()
+            digest = live_manifest_digest(system)
         payload = self.inner.finalize()
         if digest is None:
             digest = _payload_digest(payload)

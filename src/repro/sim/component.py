@@ -21,8 +21,8 @@ class Component:
     * ``_snapshot_owns_`` -- this object is the sole owner; the caller
       hands the container over and must not retain a mutating reference.
     * ``_snapshot_borrowed_`` -- the attribute aliases a container whose
-      registered owner is elsewhere in the system graph (snapshot's
-      deep clone preserves the aliasing through its shared memo).
+      registered owner is elsewhere in the system graph (the snapshot
+      pickles the whole graph with one memo, which keeps the aliasing).
 
     Both are class-level *immutable* tuples of attribute names; any
     class (not only Component subclasses) may declare them.

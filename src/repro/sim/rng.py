@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Sequence, TypeVar
+import struct
+from typing import Any, List, Sequence, Tuple, Type, TypeVar
 
 T = TypeVar("T")
+
+#: A Mersenne Twister state: 624 32-bit words plus the position index.
+_MT_WORDS = struct.Struct("<625I")
 
 
 class DeterministicRNG:
@@ -41,6 +45,18 @@ class DeterministicRNG:
     def setstate(self, state: object) -> None:
         """Restore a state captured by :meth:`getstate`."""
         self._rng.setstate(state)  # type: ignore[arg-type]
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        """Pickle the Mersenne Twister state as 2.5 KB of packed words:
+        a snapshot thaw then holds no per-word int objects.  The other
+        attributes travel as slot state, so unpickling sets them one by
+        one, as ``__init__`` does."""
+        attrs = dict(self.__dict__)
+        version, words, gauss = attrs.pop("_rng").getstate()
+        return (
+            _thaw_rng, (type(self), version, _MT_WORDS.pack(*words), gauss),
+            (None, attrs),
+        )
 
     def state_digest(self) -> str:
         """Short stable digest of the current stream state, for snapshot
@@ -76,3 +92,14 @@ class DeterministicRNG:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DeterministicRNG(seed={self.seed}, name={self.name!r})"
+
+
+def _thaw_rng(
+    cls: Type[DeterministicRNG], version: int, words: bytes, gauss: object
+) -> DeterministicRNG:
+    """Inverse of :meth:`DeterministicRNG.__reduce__` (pickle then sets
+    the remaining attributes)."""
+    rng = cls.__new__(cls)
+    rng._rng = random.Random(0)
+    rng._rng.setstate((version, _MT_WORDS.unpack(words), gauss))
+    return rng

@@ -3,8 +3,9 @@
 :func:`~repro.state.snapshot.snapshot` freezes a live system (event
 queue, component attributes, RNG streams, sanitizer and auditor
 counters, tracker state) into a re-forkable
-:class:`~repro.state.snapshot.SystemSnapshot`;
-:func:`~repro.state.snapshot.restore` produces an independent live
+:class:`~repro.state.snapshot.SystemSnapshot`: one in-memory pickle
+stream (:mod:`repro.state.clone`).
+:func:`~repro.state.snapshot.restore` thaws an independent live
 system that continues bit-identically to an uninterrupted run.  The
 static half -- the ST rules proving every byte of mutable state is
 enumerable -- lives in :mod:`repro.analyze`.

@@ -5,49 +5,53 @@ checkpointing"):
 
 * :func:`snapshot` freezes a running :class:`~repro.runtime.system.NDPSystem`
   (and, when given, its attached application) into a
-  :class:`SystemSnapshot`: one closure-aware deep clone of the whole
-  object graph -- event queue, component attributes, RNG streams,
-  sanitizer and auditor counters, tracker state.  The live system is
-  untouched and keeps running ("capture and continue").
-* :func:`restore` / :meth:`SystemSnapshot.fork` produce an *independent*
-  live system from the frozen graph.  A snapshot can be forked any
-  number of times; forks never share mutable state with each other or
-  with the blob.
+  :class:`SystemSnapshot`: the whole object graph -- event queue,
+  component attributes, RNG streams, sanitizer and auditor counters,
+  tracker state -- pickled once into one in-memory stream
+  (:func:`repro.state.clone.freeze`).  The live system is untouched
+  and keeps running ("capture and continue").
+* :func:`restore` / :meth:`SystemSnapshot.fork` thaw an *independent*
+  live system from the stream.  A snapshot can be forked any number of
+  times; forks never share mutable state with each other or with the
+  blob.
 * The oracle is bit-identity: running a forked system to completion
   yields exactly the makespan, event count and metrics of the
   uninterrupted run.  ``tests/test_snapshot.py`` asserts this across
   the full app x design matrix, plain and sanitized.
 
-:meth:`SystemSnapshot.manifest` re-encodes the snapshot symbolically --
+:func:`system_manifest` encodes a system's state symbolically --
 every queued callback as ``(owner id, method name)`` against a component
 registry derived from the same attribute walk the static inventory
 models, every RNG stream by name/seed digest -- so two snapshots of
-identical states produce identical manifests even though the raw blobs
-are object graphs.
+identical states produce identical manifests even though the raw
+streams differ.  :meth:`SystemSnapshot.manifest` applies it to one thaw
+of the stream; :func:`live_manifest_digest` applies it to a live system,
+with no clone, and gives the same digest.
 
 Sharded runs snapshot at window barriers: :class:`BarrierSnapshotter`
 hooks :class:`~repro.sim.sharded.ShardedSimulator`'s barrier loop,
-capturing per-shard runtime blobs plus the cross-shard ledger into a
+freezing the per-shard runtimes plus the cross-shard ledger into a
 :class:`ShardedSnapshot`; :func:`resume_app_sharded` replays the
 remaining windows to the identical merged result.
 
-Snapshots are in-memory objects, deliberately: the format version
+Snapshots stay in memory, deliberately: the stream names classes and
+functions through a side table of live objects, not by import path, so
+it cannot outlive the process.  The format version
 (:data:`SNAPSHOT_FORMAT_VERSION`) is carried in the meta block so a
-future serialized format can reject stale blobs.
+future on-disk format can reject stale blobs.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import sys
+import json
 import types
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from .clone import SnapshotError, deep_clone
-
 if TYPE_CHECKING:
+    from .clone import Frozen
     from ..analyze.inventory import StateInventory
 
 __all__ = [
@@ -57,14 +61,20 @@ __all__ = [
     "SnapshotError",
     "SystemSnapshot",
     "component_registry",
+    "live_manifest_digest",
     "resume_app_sharded",
     "restore",
     "run_app_with_snapshot",
     "snapshot",
+    "system_manifest",
     "verify_inventory",
 ]
 
 SNAPSHOT_FORMAT_VERSION = 1
+
+
+class SnapshotError(RuntimeError):
+    """A snapshot or restore could not be taken/applied."""
 
 
 def _is_model_object(obj: Any) -> bool:
@@ -161,49 +171,102 @@ def _describe_callback(payload: Any, owner_of: Dict[int, str]) -> str:
     return f"callable:{type(payload).__name__}"
 
 
-def _deep_size(obj: Any) -> int:
-    """Approximate retained bytes of an object graph (bench metric)."""
-    seen = set()
-    total = 0
-    stack = [obj]
-    while stack:
-        item = stack.pop()
-        if id(item) in seen:
-            continue
-        seen.add(id(item))
-        if isinstance(item, (type, types.ModuleType)):
-            continue
-        try:
-            total += sys.getsizeof(item)
-        except TypeError:  # pragma: no cover - exotic object
-            continue
-        if isinstance(item, types.FunctionType):
-            # Count closure cells and defaults, never __globals__.
-            for cell in item.__closure__ or ():
-                try:
-                    stack.append(cell.cell_contents)
-                except ValueError:
-                    pass
-            stack.extend(item.__defaults__ or ())
-            continue
-        if isinstance(item, types.MethodType):
-            stack.append(item.__self__)
-            continue
-        if isinstance(item, dict):
-            stack.extend(item.keys())
-            stack.extend(item.values())
-        elif isinstance(item, (list, tuple, set, frozenset)):
-            stack.extend(item)
-        d = getattr(item, "__dict__", None)
-        if isinstance(d, dict):
-            stack.append(d)
-        for name in _attr_names(item):
-            if not isinstance(d, dict) or name not in d:
-                try:
-                    stack.append(getattr(item, name))
-                except AttributeError:
-                    pass
-    return total
+# ---------------------------------------------------------------------------
+# serial snapshots
+
+
+def _meta(sim: Any) -> Dict[str, Any]:
+    """The snapshot meta block of a system paused at ``sim.now``."""
+    return {
+        "version": SNAPSHOT_FORMAT_VERSION,
+        "cycle": sim.now,
+        "seq": sim._seq,
+        "events_processed": sim.events_processed,
+        "pending_events": sim.pending_events,
+        "sanitize": sim.sanitize,
+    }
+
+
+def system_manifest(system: Any, meta: Dict[str, Any]) -> Dict[str, Any]:
+    """Deterministic symbolic encoding of a system's state.
+
+    Queue entries become ``(time, seq, owner-id.method)`` strings,
+    components become their sorted attribute inventories, RNG streams
+    their (name, seed, state digest).  Two systems in identical
+    simulation states yield identical manifests, whether live or thawed
+    from a snapshot.
+    """
+    from ..sim.rng import DeterministicRNG
+
+    registry = component_registry(system)
+    owner_of = {id(obj): path for path, obj in registry.items()}
+    sim = system.sim
+    queue = [
+        [time, seq, _describe_callback(payload, owner_of)]
+        for time, seq, payload in sim.queue_entries()
+    ]
+    components = {
+        path: {
+            "class": type(obj).__name__,
+            "attrs": sorted(_attr_names(obj)),
+        }
+        for path, obj in registry.items()
+    }
+    rng_streams = {
+        path: {
+            "name": obj.name,
+            "seed": obj.seed,
+            "digest": obj.state_digest(),
+        }
+        for path, obj in registry.items()
+        if isinstance(obj, DeterministicRNG)
+    }
+    manifest: Dict[str, Any] = {
+        "version": meta["version"],
+        "cycle": meta["cycle"],
+        "engine": {
+            "now": sim.now,
+            "seq": sim._seq,
+            "events_processed": sim.events_processed,
+            "pending_events": sim.pending_events,
+            "cancel_purged": sim.cancel_purged,
+            "scheduled_total": sim.scheduled_total,
+            "sanitize": sim.sanitize,
+        },
+        "queue": queue,
+        "components": components,
+        "rng": rng_streams,
+        "tracker": {
+            "epoch": system.tracker.epoch,
+            "created": system.tracker.total_created,
+            "completed": system.tracker.total_completed,
+            "finished": system.tracker.finished,
+        },
+    }
+    if getattr(system, "auditor", None) is not None:
+        auditor = system.auditor
+        manifest["auditor"] = {
+            "created_by_type": dict(
+                sorted(auditor.created_by_type.items())
+            ),
+            "delivered_by_type": dict(
+                sorted(auditor.delivered_by_type.items())
+            ),
+            "dropped_by_type": dict(
+                sorted(auditor.dropped_by_type.items())
+            ),
+        }
+    return manifest
+
+
+def _digest(manifest: Dict[str, Any]) -> str:
+    blob = json.dumps(manifest, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def live_manifest_digest(system: Any) -> str:
+    """``snapshot(system).manifest_digest()`` without cloning ``system``."""
+    return _digest(system_manifest(system, _meta(system.sim)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,98 +277,29 @@ def _deep_size(obj: Any) -> int:
 class SystemSnapshot:
     """A frozen, re-forkable image of one running system (+ app).
 
-    ``fork()`` clones the frozen graph again, so the blob itself is
-    never handed out -- every fork is independent of the blob and of
-    every other fork.
+    The image is one pickle stream (:class:`~repro.state.clone.Frozen`);
+    ``fork()`` thaws it again, so every fork is independent of the blob
+    and of every other fork.
     """
 
     meta: Dict[str, Any]
-    _system: Any = field(repr=False)
-    _app: Any = field(default=None, repr=False)
+    _frozen: Frozen = field(repr=False)
 
     def fork(self) -> Tuple[Any, Any]:
         """An independent live (system, app) pair from the frozen image."""
-        return deep_clone((self._system, self._app))
+        return self._frozen.thaw()
 
     def manifest(self) -> Dict[str, Any]:
-        """Deterministic symbolic encoding of the frozen state.
-
-        Queue entries become ``(time, seq, owner-id.method)`` strings,
-        components become their sorted attribute inventories, RNG
-        streams their (name, seed, state digest).  Two snapshots of
-        identical simulation states yield identical manifests.
-        """
-        system = self._system
-        registry = component_registry(system)
-        owner_of = {id(obj): path for path, obj in registry.items()}
-        sim = system.sim
-        queue = [
-            [time, seq, _describe_callback(payload, owner_of)]
-            for time, seq, payload in sim.queue_entries()
-        ]
-        components = {
-            path: {
-                "class": type(obj).__name__,
-                "attrs": sorted(_attr_names(obj)),
-            }
-            for path, obj in registry.items()
-        }
-        rng_streams = {}
-        from ..sim.rng import DeterministicRNG
-
-        for path, obj in registry.items():
-            if isinstance(obj, DeterministicRNG):
-                rng_streams[path] = {
-                    "name": obj.name,
-                    "seed": obj.seed,
-                    "digest": obj.state_digest(),
-                }
-        manifest: Dict[str, Any] = {
-            "version": self.meta["version"],
-            "cycle": self.meta["cycle"],
-            "engine": {
-                "now": sim.now,
-                "seq": sim._seq,
-                "events_processed": sim.events_processed,
-                "pending_events": sim.pending_events,
-                "cancel_purged": sim.cancel_purged,
-                "scheduled_total": sim.scheduled_total,
-                "sanitize": sim.sanitize,
-            },
-            "queue": queue,
-            "components": components,
-            "rng": rng_streams,
-            "tracker": {
-                "epoch": system.tracker.epoch,
-                "created": system.tracker.total_created,
-                "completed": system.tracker.total_completed,
-                "finished": system.tracker.finished,
-            },
-        }
-        if getattr(system, "auditor", None) is not None:
-            auditor = system.auditor
-            manifest["auditor"] = {
-                "created_by_type": dict(
-                    sorted(auditor.created_by_type.items())
-                ),
-                "delivered_by_type": dict(
-                    sorted(auditor.delivered_by_type.items())
-                ),
-                "dropped_by_type": dict(
-                    sorted(auditor.dropped_by_type.items())
-                ),
-            }
-        return manifest
+        """:func:`system_manifest` of one thaw of the frozen image."""
+        system, _app = self.fork()
+        return system_manifest(system, self.meta)
 
     def manifest_digest(self) -> str:
-        import json
-
-        blob = json.dumps(self.manifest(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return _digest(self.manifest())
 
     def size_bytes(self) -> int:
-        """Approximate retained size of the frozen image."""
-        return _deep_size((self._system, self._app))
+        """Length of the frozen pickle stream."""
+        return len(self._frozen.blob)
 
 
 def snapshot(
@@ -328,17 +322,11 @@ def snapshot(
                 "live state disagrees with the static inventory: "
                 + "; ".join(problems[:5])
             )
-    sim = system.sim
-    frozen_system, frozen_app = deep_clone((system, app))
-    meta = {
-        "version": SNAPSHOT_FORMAT_VERSION,
-        "cycle": sim.now,
-        "seq": sim._seq,
-        "events_processed": sim.events_processed,
-        "pending_events": sim.pending_events,
-        "sanitize": sim.sanitize,
-    }
-    return SystemSnapshot(meta=meta, _system=frozen_system, _app=frozen_app)
+    # Imported here so that processes that never snapshot never load
+    # pickle (the registry and manifest helpers above do not need it).
+    from .clone import freeze
+
+    return SystemSnapshot(meta=_meta(system.sim), _frozen=freeze((system, app)))
 
 
 def restore(snap: SystemSnapshot) -> Tuple[Any, Any]:
@@ -455,7 +443,7 @@ class ShardedSnapshot:
     plan: Any
     windows: int
     barriers: int
-    runtimes: List[Any] = field(repr=False)
+    runtimes: Frozen = field(repr=False)
     reports: Tuple[Any, ...] = ()
     pending: Tuple[Any, ...] = ()
     exported: Dict[Tuple[int, int], int] = field(default_factory=dict)
@@ -463,7 +451,7 @@ class ShardedSnapshot:
 
     def fork_runtimes(self) -> List[Any]:
         """Independent live shard runtimes (blob stays re-forkable)."""
-        return deep_clone(list(self.runtimes))
+        return self.runtimes.thaw()
 
 
 class BarrierSnapshotter:
@@ -506,13 +494,15 @@ class BarrierSnapshotter:
                 "(parallel=False) -- forked shard workers hold their "
                 "state in other processes"
             )
+        from .clone import freeze
+
         app, scale, seed, verify, config, plan = self._context
         self.snapshot = ShardedSnapshot(
             version=SNAPSHOT_FORMAT_VERSION,
             app=app, scale=scale, seed=seed, verify=verify,
             config=config, plan=plan,
             windows=engine.windows, barriers=engine.barriers,
-            runtimes=deep_clone(list(runtimes)),
+            runtimes=freeze(list(runtimes)),
             reports=tuple(reports),
             pending=tuple(pending),
             exported=dict(engine.exported),

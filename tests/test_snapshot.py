@@ -21,6 +21,7 @@ from repro.config import Design, scaled_config, tiny_config
 from repro.runtime.runner import build_system, run_app
 from repro.state.snapshot import (
     SnapshotError,
+    live_manifest_digest,
     restore,
     run_app_with_snapshot,
     snapshot,
@@ -60,7 +61,7 @@ def test_snapshot_resume_matches_run_through(app, design):
 
 
 def test_snapshot_resume_under_sanitizer(monkeypatch):
-    """PR-2 sanitizer + PR-5 auditor wrappers survive the deep clone."""
+    """Sanitizer and auditor wrappers survive the freeze and thaw."""
     monkeypatch.setenv("NDPBRIDGE_SANITIZE", "1")
     cfg, base, at = _mid_run("tree", Design.O)
     forked, snap = run_app_with_snapshot(
@@ -123,6 +124,22 @@ def test_manifest_is_deterministic():
         digests.append(snapshot(system, app).manifest_digest())
         system.finish()
     assert digests[0] == digests[1]
+
+
+def test_live_manifest_digest_matches_snapshot():
+    """The race detector digests the live system without cloning it;
+    that digest must equal the snapshot's, paused and finished."""
+    cfg = tiny_config(Design.O)
+    app = make_app("tree", scale=0.1, seed=7)
+    system = build_system(cfg)
+    app.attach(system)
+    app.seed_tasks(system)
+    system.start().advance(until=5000)
+    for _ in range(2):
+        assert live_manifest_digest(system) == (
+            snapshot(system, app).manifest_digest()
+        )
+        system.finish()
 
 
 def test_manifest_encodes_queue_symbolically():
